@@ -10,8 +10,9 @@ request-serving path:
   store and answers per-user ``recommend(user_id, history, k)`` requests;
 * :class:`~repro.serve.batcher.MicroBatcher` — an async micro-batching
   scheduler that queues concurrent requests and dispatches one
-  ``score_candidates_batch`` call per flush (on ``max_batch_size`` or
-  ``max_wait_ms``);
+  ``score_candidates_batch`` call per flush (on ``max_batch_size``, on
+  ``max_wait_ms``, or once a closed ``recommend_many`` call's batch is
+  complete);
 * :class:`~repro.serve.cache.ResultCache` — an LRU score cache keyed by
   (model fingerprint, history hash, candidate-set hash);
 * :class:`~repro.serve.prefix.PrefixCache` — a prompt prefix/embedding-block

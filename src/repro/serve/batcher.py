@@ -6,6 +6,13 @@ requests, or after ``max_wait_ms`` of a request sitting unflushed —
 whichever comes first.  Each flush dispatches exactly one
 ``score_candidates_batch`` call covering every queued request.
 
+The deadline binds only for open-loop callers, where another request may
+still arrive.  A closed call —
+:meth:`~repro.serve.service.RecommendationService.recommend_many` or one
+replica ``score`` op — knows when none of its requests can join the partial
+batch any more and flushes it at once through :meth:`MicroBatcher.flush_now`;
+the deadline timer stays armed behind it as the fallback.
+
 Because the batched scoring engine is bitwise-identical to the per-example
 loop (PR 1's contract, extended through the restricted head in PR 3), the
 batch composition — which requests happen to share a flush — can never change
@@ -172,8 +179,9 @@ class MicroBatcher:
     def flush_now(self) -> int:
         """Synchronously flush whatever is queued; returns the flush size.
 
-        Used to drain the queue at shutdown or between load phases — normal
-        operation flushes through the size/deadline triggers.
+        A closed call flushes its complete partial batch through this (see
+        the module docstring); it also drains the queue at shutdown or
+        between load phases.  Counted as a size flush, not a deadline flush.
         """
         size = len(self._pending)
         if size:

@@ -33,9 +33,11 @@ router re-routes the dead replica's sessions deterministically (see
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import os
 import sys
+import threading
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -113,6 +115,11 @@ def _replica_main(connection, replica_id: int, store_root: str,
     returned as an ``("error", traceback)`` reply, so one bad request never
     kills the replica; only a failed *restore* is fatal (reported once, then
     the process exits — the router sees the replica as dead).
+
+    Every ``score`` op runs on one event loop created at start-up, so a call
+    costs no loop construction; each op is a closed
+    :meth:`~repro.serve.service.RecommendationService.recommend_many_async`
+    call, whose partial batch flushes as soon as it is complete.
     """
     from repro.store.components import load_recommender
     from repro.store.store import ArtifactStore
@@ -132,6 +139,7 @@ def _replica_main(connection, replica_id: int, store_root: str,
             connection.close()
         return
     connection.send(("ready", service.model_fingerprint))
+    loop = asyncio.new_event_loop()
     while True:
         try:
             op, payload = connection.recv()
@@ -144,7 +152,9 @@ def _replica_main(connection, replica_id: int, store_root: str,
             if op == "score":
                 requests = [(user_id, list(history), list(candidates))
                             for user_id, history, candidates in payload["requests"]]
-                responses = service.recommend_many(requests, k=payload.get("k"))
+                responses = loop.run_until_complete(
+                    service.recommend_many_async(requests, k=payload.get("k"))
+                )
                 connection.send(("ok", responses))
             elif op == "stats":
                 connection.send(("ok", service.stats()))
@@ -160,6 +170,7 @@ def _replica_main(connection, replica_id: int, store_root: str,
             connection.send(("error", "".join(
                 traceback.format_exception(type(error), error, error.__traceback__)
             )))
+    loop.close()
     connection.close()
 
 
@@ -198,16 +209,19 @@ class Replica:
         self.process.start()
         child_conn.close()
         self._failed = False
-        import threading
-
         self._lock = threading.Lock()
-        status, value = self._recv(timeout=start_timeout)
-        if status != "ready":
+        try:
+            status, value = self._recv(timeout=start_timeout)
+            if status != "ready":
+                raise ReplicaUnavailable(
+                    f"replica {replica_id} failed to restore "
+                    f"{config.kind}/{config.fingerprint[:12]}: {value}"
+                )
+        except ReplicaUnavailable:
+            # never leave a child running that the caller holds no handle to
             self._failed = True
-            raise ReplicaUnavailable(
-                f"replica {replica_id} failed to restore "
-                f"{config.kind}/{config.fingerprint[:12]}: {value}"
-            )
+            self.close()
+            raise
         #: content fingerprint of the model this replica serves (every replica
         #: of a tier must report the same one — the router asserts it)
         self.model_fingerprint: str = value
@@ -221,8 +235,15 @@ class Replica:
         return not self._failed and self.process.is_alive()
 
     def _recv(self, timeout: Optional[float] = None):
+        """Receive one reply; a timeout or a dead pipe retires the replica.
+
+        A reply that missed its timeout may still arrive later and would
+        answer the *next* request on this pipe, so a late replica is
+        terminated rather than kept: the router fails its sessions over.
+        """
         try:
             if timeout is not None and not self._parent_conn.poll(timeout):
+                self.terminate()
                 raise ReplicaUnavailable(
                     f"replica {self.replica_id} did not answer within {timeout}s"
                 )
@@ -289,7 +310,8 @@ class Replica:
         """Kill the replica process immediately (the chaos/failover path)."""
         self._failed = True
         if self.process.is_alive():
-            self.process.terminate()
+            # SIGKILL: a SIGTERM stays pending on a stopped (hung) process
+            self.process.kill()
         self.process.join(timeout=10.0)
 
     def close(self) -> None:
@@ -299,10 +321,7 @@ class Replica:
                 self.call("stop", timeout=10.0)
             except (ReplicaUnavailable, RuntimeError):
                 pass
-        self._failed = True
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=10.0)
+        self.terminate()
         self._parent_conn.close()
 
     def __enter__(self) -> "Replica":

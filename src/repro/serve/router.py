@@ -32,8 +32,6 @@ import hashlib
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.serve.cache import ResultCache
 from repro.serve.replica import (
     Replica,
@@ -43,7 +41,7 @@ from repro.serve.replica import (
     ScoreRequest,
     start_replicas,
 )
-from repro.serve.service import RecommendResponse
+from repro.serve.service import RecommendResponse, ranked_response
 
 
 def sticky_replica(user_id: int, num_replicas: int) -> int:
@@ -180,8 +178,9 @@ class ReplicatedService:
                 scores = self.shared_cache.get(key)
             if scores is not None:
                 self.shared_cache_hits += 1
-                responses[position] = _ranked_response(
-                    int(user_id), list(candidates), scores, k, self.model_fingerprint
+                responses[position] = ranked_response(
+                    int(user_id), list(candidates), scores, k,
+                    cached=True, served_by=self.model_fingerprint,
                 )
             else:
                 pending.append(position)
@@ -302,24 +301,3 @@ class ReplicatedService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-def _ranked_response(user_id: int, candidates: List[int], scores: np.ndarray,
-                     k: int, fingerprint: str) -> RecommendResponse:
-    """Build the shared-cache-hit response; same ranking as the service.
-
-    Mirrors ``RecommendationService._ranked_response`` (descending score,
-    stable ties) so a shared-cache hit ranks identically to a scored miss.
-    """
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    top = order[:k]
-    return RecommendResponse(
-        user_id=user_id,
-        items=[candidates[i] for i in top],
-        item_scores=[float(scores[i]) for i in top],
-        candidates=list(candidates),
-        scores=np.asarray(scores),
-        cached=True,
-        degraded=False,
-        served_by=fingerprint,
-        degraded_reason=None,
-    )

@@ -43,6 +43,8 @@ proves them.
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -65,6 +67,21 @@ from repro.store.store import ArtifactStore
 
 #: Provides candidate item ids for a request: (user_id, history) -> candidates.
 CandidatesFn = Callable[[int, Sequence[int]], Sequence[int]]
+
+#: Parks the request the current task serves inside a closed
+#: :meth:`RecommendationService.recommend_many_async` call; unset for
+#: open-loop ``recommend`` callers, whose partial batches wait out
+#: ``max_wait_ms`` as before.
+_PARK: "contextvars.ContextVar[Optional[Callable[[], None]]]" = contextvars.ContextVar(
+    "repro_serve_park", default=None
+)
+
+
+def _park_current_request() -> None:
+    """Tell the enclosing closed call that this request can no longer join a batch."""
+    park = _PARK.get()
+    if park is not None:
+        park()
 
 
 @dataclass
@@ -398,12 +415,8 @@ class RecommendationService:
             if degraded_reason is not None:
                 scores, served_by = self._fallback_scores(resolved_history, candidates)
         self.requests_served += 1
-        return self._ranked_response(
-            int(user_id), candidates, scores, k, cached,
-            degraded=degraded_reason is not None,
-            served_by=served_by,
-            degraded_reason=degraded_reason,
-        )
+        return ranked_response(int(user_id), candidates, scores, k, cached=cached,
+                               served_by=served_by, degraded_reason=degraded_reason)
 
     async def _primary_scores(
         self,
@@ -430,6 +443,7 @@ class RecommendationService:
             task = None
         if task is not None:
             self.coalesced_requests += 1
+            _park_current_request()
         else:
             task = asyncio.ensure_future(
                 self._score_resilient(history, candidates, fault, budget)
@@ -465,6 +479,9 @@ class RecommendationService:
             try:
                 if fault is not None:
                     fault.before_attempt()
+                # parks before submit queues synchronously; the flush this
+                # may schedule runs only after the queueing
+                _park_current_request()
                 scores = await self.batcher.submit(
                     history, candidates,
                     fault=fault if fault is not None and fault.batch_level else None,
@@ -534,12 +551,35 @@ class RecommendationService:
         k: Optional[int] = None,
         return_exceptions: bool = False,
     ) -> List[RecommendResponse]:
-        """Serve many requests concurrently through the micro-batcher (blocking).
+        """Blocking wrapper: :meth:`recommend_many_async` on a private event loop.
+
+        Each call runs its own loop through ``asyncio.run``, so threads may
+        call it concurrently on different services.
+        """
+        return asyncio.run(self.recommend_many_async(requests, k=k,
+                                                     return_exceptions=return_exceptions))
+
+    async def recommend_many_async(
+        self,
+        requests: Sequence[Tuple],
+        k: Optional[int] = None,
+        return_exceptions: bool = False,
+    ) -> List[RecommendResponse]:
+        """Serve many requests concurrently through the micro-batcher.
 
         ``requests`` is a sequence of ``(user_id, history)`` or
         ``(user_id, history, candidates)`` tuples; responses come back in
-        request order.  All requests join the same event loop, so they are
+        request order.  All requests join the running event loop, so they are
         batched together up to ``max_batch_size`` per flush.
+
+        The call is *closed*: it expects no other producer on its loop, so
+        once each of its requests has queued on the batcher, joined an
+        in-flight duplicate or finished (cache hit, degraded, failed), the
+        partial batch is complete and flushes at once rather than after
+        ``max_wait_ms``.  That is the point where the deadline timer would
+        first have found every producer blocked, so batch composition is
+        unchanged; the timer stays armed as the fallback (a retry submitted
+        after its request parked still waits for it).
 
         One failing request never aborts its siblings: every request runs to
         completion and outcomes are collected in request order.  With
@@ -547,54 +587,38 @@ class RecommendationService:
         its slot in the returned list; otherwise the first failure (in
         request order) is re-raised — but only after every sibling finished.
         """
+        loop = asyncio.get_running_loop()
+        unparked = set(range(len(requests)))
 
-        async def _run() -> List[RecommendResponse]:
-            tasks = []
-            for request in requests:
-                user_id, history = request[0], request[1]
-                candidates = request[2] if len(request) > 2 else None
-                tasks.append(
-                    asyncio.ensure_future(
-                        self.recommend(user_id, history=history, k=k, candidates=candidates)
-                    )
+        def park(position: int) -> None:
+            if position in unparked:
+                unparked.remove(position)
+                if not unparked:
+                    loop.call_soon(self.batcher.flush_now)
+
+        tasks = []
+        for position, request in enumerate(requests):
+            user_id, history = request[0], request[1]
+            candidates = request[2] if len(request) > 2 else None
+            # the task (and the in-flight scoring task it may spawn) copies
+            # this context, so every park site finds the request's position
+            reset = _PARK.set(functools.partial(park, position))
+            try:
+                task = asyncio.ensure_future(
+                    self.recommend(user_id, history=history, k=k, candidates=candidates)
                 )
-            # return_exceptions=True keeps one failure from cancelling the
-            # rest mid-flush; siblings all run to completion
-            return list(await asyncio.gather(*tasks, return_exceptions=True))
-
-        outcomes = asyncio.run(_run())
+            finally:
+                _PARK.reset(reset)
+            task.add_done_callback(lambda _done, position=position: park(position))
+            tasks.append(task)
+        # return_exceptions=True keeps one failure from cancelling the rest
+        # mid-flush; siblings all run to completion
+        outcomes = list(await asyncio.gather(*tasks, return_exceptions=True))
         if not return_exceptions:
             for outcome in outcomes:
                 if isinstance(outcome, BaseException):
                     raise outcome
         return outcomes
-
-    def _ranked_response(
-        self,
-        user_id: int,
-        candidates: List[int],
-        scores: np.ndarray,
-        k: int,
-        cached: bool,
-        degraded: bool = False,
-        served_by: Optional[str] = None,
-        degraded_reason: Optional[str] = None,
-    ) -> RecommendResponse:
-        """Rank candidates by score exactly like the offline evaluator does."""
-        # same ordering as RankingEvaluator / top_k: descending score, stable ties
-        order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-        top = order[:k]
-        return RecommendResponse(
-            user_id=user_id,
-            items=[candidates[i] for i in top],
-            item_scores=[float(scores[i]) for i in top],
-            candidates=list(candidates),
-            scores=np.asarray(scores),
-            cached=cached,
-            degraded=degraded,
-            served_by=served_by if served_by is not None else self.model_fingerprint,
-            degraded_reason=degraded_reason,
-        )
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -668,3 +692,34 @@ class RecommendationService:
             "dropped": self.resilience_stats.dropped,
         }
         return health
+
+
+def ranked_response(
+    user_id: int,
+    candidates: Sequence[int],
+    scores: np.ndarray,
+    k: int,
+    *,
+    cached: bool,
+    served_by: Optional[str],
+    degraded_reason: Optional[str] = None,
+) -> RecommendResponse:
+    """Rank candidates by score exactly like the offline evaluator does.
+
+    The one ranking of the serving stack — descending score, stable ties, the
+    ``RankingEvaluator`` / ``top_k`` order — shared by the service and the
+    replicated tier's shared-cache hits, so a hit ranks like a scored miss.
+    """
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    top = order[:k]
+    return RecommendResponse(
+        user_id=user_id,
+        items=[candidates[i] for i in top],
+        item_scores=[float(scores[i]) for i in top],
+        candidates=list(candidates),
+        scores=np.asarray(scores),
+        cached=cached,
+        degraded=degraded_reason is not None,
+        served_by=served_by,
+        degraded_reason=degraded_reason,
+    )

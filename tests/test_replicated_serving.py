@@ -11,10 +11,15 @@ The contracts under test (PR 10):
   placements, same route digest, bitwise-identical scores;
 * routed scores equal the single-process service's scores bit for bit;
 * open-loop arrival schedules are pure functions of (n, rate, profile,
-  seed) for every profile, at the requested average rate.
+  seed) for every profile, at the requested average rate;
+* a replica serves every ``score`` op on one event loop without waiting
+  out its batcher deadline, and a replica that misses a reply timeout is
+  retired (never left holding a late reply for the next request).
 """
 
 import multiprocessing
+import os
+import signal
 import sys
 
 import numpy as np
@@ -25,8 +30,11 @@ from repro.models import SASRec, TrainingConfig, train_recommender
 from repro.serve import (
     ARRIVAL_PROFILES,
     RecommendationService,
+    Replica,
     ReplicaConfig,
     ReplicatedService,
+    ReplicaUnavailable,
+    ServiceConfig,
     arrival_schedule,
     build_workload,
     find_knee,
@@ -217,6 +225,78 @@ class TestFailover:
             assert tier.reroutes == sum(
                 1 for user_id, _, _ in requests if sticky_replica(user_id, 2) == 0
             )
+
+
+@needs_fork
+class TestReplicaLoop:
+    def test_consecutive_score_ops_stay_bitwise_on_one_loop(self, store, workload, sasrec):
+        """Several ops on the replica's one loop, one of them failing mid-flush.
+
+        The 10 s batcher deadline would show as a hang and as a
+        ``deadline_flushes`` count if any op waited for it.
+        """
+        config = ReplicaConfig(BACKBONE_KIND, store.backbone_fp,
+                               service=ServiceConfig(max_wait_ms=10_000.0))
+        requests = [(r.user_id, r.history, r.candidates) for r in workload]
+        user_id, history, candidates = requests[0]
+        unknown_item = (user_id, history, candidates + (10_000,))
+        with Replica(0, store.root, config) as replica:
+            served = replica.score_batch(requests[:8])
+            with pytest.raises(RuntimeError, match="IndexError"):
+                replica.score_batch([requests[8], unknown_item])
+            served += replica.score_batch(requests[8:16])
+            served += replica.score_batch(requests[16:])
+            stats = replica.stats()
+        assert len(served) == len(workload)
+        for response, reference in zip(served, replay_workload(sasrec, workload),
+                                       strict=True):
+            np.testing.assert_array_equal(response.scores, reference)
+        assert stats.batcher.deadline_flushes == 0
+        assert stats.batcher.failed_requests == 1
+
+
+def _stop_before_ready(connection, *args) -> None:
+    """A replica entry point that hangs (SIGSTOPs itself) before answering."""
+    os.kill(os.getpid(), signal.SIGSTOP)
+
+
+@needs_fork
+class TestHungReplica:
+    def test_timed_out_call_retires_the_replica(self, store, workload, sasrec):
+        requests = [(r.user_id, r.history, r.candidates) for r in workload]
+        with ReplicatedService.start(
+            store.root, ReplicaConfig(BACKBONE_KIND, store.backbone_fp), num_replicas=2
+        ) as tier:
+            hung = tier.replicas[0]
+            os.kill(hung.process.pid, signal.SIGSTOP)
+            try:
+                with pytest.raises(ReplicaUnavailable, match="did not answer"):
+                    hung.call("stats", timeout=0.2)
+                # retired and reaped: no late reply can answer a later call
+                assert not hung.alive
+                assert hung.process.exitcode is not None
+                with pytest.raises(ReplicaUnavailable):
+                    hung.resources()
+            finally:
+                if hung.process.exitcode is None:
+                    os.kill(hung.process.pid, signal.SIGCONT)
+            responses = tier.route_many(requests)
+            assert tier.routed[0] == 0
+        for response, reference in zip(responses, replay_workload(sasrec, workload),
+                                       strict=True):
+            np.testing.assert_array_equal(response.scores, reference)
+
+    def test_start_timeout_reaps_the_child(self, store, monkeypatch):
+        monkeypatch.setattr("repro.serve.replica._replica_main", _stop_before_ready)
+        with pytest.raises(ReplicaUnavailable, match="did not answer"):
+            Replica(7, store.root, ReplicaConfig(BACKBONE_KIND, store.backbone_fp),
+                    start_timeout=0.2)
+        leftover = [child for child in multiprocessing.active_children()
+                    if child.name == "repro-replica-7"]
+        for child in leftover:  # a stopped child would hang interpreter exit
+            child.kill()
+            child.join()
+        assert not leftover
 
 
 class TestArrivalSchedules:

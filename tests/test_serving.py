@@ -120,7 +120,7 @@ class TestMicroBatcher:
         drop that stale state instead of waiting forever for the dead timer.
         """
         service = RecommendationService(  # no candidates_fn on purpose
-            sasrec, config=ServiceConfig(max_batch_size=16, max_wait_ms=1.0)
+            sasrec, config=ServiceConfig(max_batch_size=16, max_wait_ms=10_000.0)
         )
         example = tiny_split.test[0]
         candidates = sampler.candidates_for(example)
@@ -143,6 +143,89 @@ class TestMicroBatcher:
         batcher = MicroBatcher(broken, max_batch_size=2, max_wait_ms=10_000.0)
         with pytest.raises(RuntimeError, match="model exploded"):
             _submit_concurrently(batcher, [([1], [1, 2]), ([2], [1, 2])])
+
+
+# --------------------------------------------------------------------------- #
+# closed calls flush a complete partial batch at once
+# --------------------------------------------------------------------------- #
+class TestClosedCallFlush:
+    """``recommend_many`` never waits out ``max_wait_ms``.
+
+    Every service here has a 10 s deadline: a call that waited for it would
+    show as a hang and as a ``deadline_flushes`` count, never as a timing.
+    """
+
+    HUGE_WAIT_MS = 10_000.0
+
+    def _service(self, sasrec):
+        return RecommendationService(sasrec, config=ServiceConfig(
+            max_batch_size=16, max_wait_ms=self.HUGE_WAIT_MS,
+        ))
+
+    @staticmethod
+    def _requests(sampler, examples):
+        return [(example.user_id, list(example.history), sampler.candidates_for(example))
+                for example in examples]
+
+    def test_partial_batch_flushes_without_the_deadline(self, sasrec, sampler, tiny_split):
+        requests = self._requests(sampler, tiny_split.test[:3])
+        service = self._service(sasrec)
+        responses = service.recommend_many(requests)
+        stats = service.stats().batcher
+        assert stats.deadline_flushes == 0
+        assert stats.histogram() == {3: 1}
+        for (_, history, candidates), response in zip(requests, responses, strict=True):
+            np.testing.assert_array_equal(response.scores,
+                                          sasrec.score_candidates(history, candidates))
+
+    def test_batch_composition_is_unchanged(self, sasrec, sampler, tiny_split):
+        requests = self._requests(sampler, tiny_split.test[:40])
+        keys = {(history_digest(history), candidates_digest(candidates))
+                for _, history, candidates in requests}
+        assert len(keys) == 40  # no cache hits, no coalescing
+        service = self._service(sasrec)
+        service.recommend_many(requests)
+        stats = service.stats().batcher
+        assert stats.histogram() == {16: 2, 8: 1}
+        assert stats.deadline_flushes == 0
+
+    def test_cache_hits_duplicates_and_a_failure_still_complete(self, sasrec, sampler,
+                                                                 tiny_split):
+        hit, fresh, duplicated = self._requests(sampler, tiny_split.test[:3])
+        service = self._service(sasrec)  # no candidates_fn: a None set fails
+        service.recommend_many([hit])
+        outcomes = service.recommend_many(
+            [hit, duplicated, fresh, duplicated, (hit[0] + 1, [1, 2], None)],
+            return_exceptions=True,
+        )
+        assert outcomes[0].cached
+        assert isinstance(outcomes[4], ValueError)
+        for (_, history, candidates), response in zip(
+            [hit, duplicated, fresh, duplicated], outcomes[:4], strict=True
+        ):
+            np.testing.assert_array_equal(response.scores,
+                                          sasrec.score_candidates(history, candidates))
+        stats = service.stats()
+        assert stats.coalesced == 1
+        assert stats.batcher.deadline_flushes == 0
+        assert stats.batcher.histogram() == {1: 1, 2: 1}
+
+    def test_open_loop_callers_keep_the_deadline(self, sasrec, sampler, tiny_split):
+        requests = self._requests(sampler, tiny_split.test[:3])
+        service = RecommendationService(
+            sasrec, config=ServiceConfig(max_batch_size=16, max_wait_ms=5.0)
+        )
+
+        async def open_loop():
+            await asyncio.gather(*(
+                service.recommend(user_id, history, candidates=candidates)
+                for user_id, history, candidates in requests
+            ))
+
+        asyncio.run(open_loop())
+        stats = service.stats().batcher
+        assert stats.deadline_flushes == 1
+        assert stats.histogram() == {3: 1}
 
 
 # --------------------------------------------------------------------------- #
