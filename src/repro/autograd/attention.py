@@ -222,15 +222,6 @@ class TransformerEncoderLayer(Module):
         transformed = self.feed_forward(self.norm2(x))
         return x + self.dropout(transformed)
 
-    def inference_forward(self, x: Tensor, attention_mask: Optional[np.ndarray] = None) -> Tensor:
-        """Full-width forward on the inference path (feed-forward via
-        :meth:`FeedForward.inference_forward`, i.e. the multiplication-based
-        gelu).  Used for all but the last layer of the mask-readout encode."""
-        attended = self.attention(self.norm1(x), attention_mask=attention_mask)
-        x = x + self.dropout(attended)
-        transformed = self.feed_forward.inference_forward(self.norm2(x))
-        return x + self.dropout(transformed)
-
     def mask_readout_forward(
         self,
         x: Tensor,
@@ -241,9 +232,10 @@ class TransformerEncoderLayer(Module):
 
         Attention keys/values still see every position of ``x`` (required for
         correctness — the readout token attends over the whole prompt), but the
-        query, both residual streams, ``norm2`` and the feed-forward all run
-        only at ``readout_positions``.  Exact in real arithmetic; rounds
-        differently from slicing :meth:`forward` (see
+        query, both residual streams, ``norm2`` and the feed-forward (the same
+        module and gelu as :meth:`forward`) all run only at
+        ``readout_positions``.  Exact in real arithmetic; rounds differently
+        from slicing :meth:`forward` (see
         :meth:`MultiHeadSelfAttention.mask_query_forward`).
         """
         batch = x.shape[0]
@@ -254,5 +246,5 @@ class TransformerEncoderLayer(Module):
         rows = np.arange(batch)
         residual = x[rows, readout_positions, :].reshape(batch, 1, x.shape[2])
         residual = residual + self.dropout(attended)
-        transformed = self.feed_forward.inference_forward(self.norm2(residual))
+        transformed = self.feed_forward(self.norm2(residual))
         return residual + self.dropout(transformed)

@@ -185,7 +185,12 @@ def one_hot(indices: ArrayLike, num_classes: int) -> np.ndarray:
 
 
 def clip_grad_norm(parameters, max_norm: float) -> float:
-    """Clip gradients of ``parameters`` in place to a maximum global L2 norm."""
+    """Clip gradients of ``parameters`` to a maximum global L2 norm.
+
+    Scaled gradients are new arrays bound to each ``.grad``; the old arrays
+    are never written.  That rebinding is required: a gradient may be shared
+    with another tensor (``Tensor._accumulate`` stores arrays without a copy).
+    """
     grads = [p.grad for p in parameters if p.grad is not None]
     if not grads:
         return 0.0

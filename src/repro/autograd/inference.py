@@ -170,8 +170,8 @@ def _layer_norm(module: LayerNorm, x: np.ndarray, arena: InferenceArena, tag: st
     return out
 
 
-def _gelu_inference(x: np.ndarray, arena: InferenceArena, tag: str) -> np.ndarray:
-    """Replicate ``Tensor.gelu_inference`` (cube by multiplication) on arrays."""
+def _gelu(x: np.ndarray, arena: InferenceArena, tag: str) -> np.ndarray:
+    """Replicate ``Tensor.gelu`` (tanh approximation, cube by multiplication) on arrays."""
     cube = arena.buffer(tag + ".cube", x.shape)
     np.multiply(x, x, out=cube)
     np.multiply(cube, x, out=cube)
@@ -188,10 +188,10 @@ def _gelu_inference(x: np.ndarray, arena: InferenceArena, tag: str) -> np.ndarra
 
 def _feed_forward(module: FeedForward, x: np.ndarray, arena: InferenceArena,
                   tag: str) -> np.ndarray:
-    """Replicate ``FeedForward.inference_forward`` (dropout is eval-identity)."""
+    """Replicate ``FeedForward.forward`` (dropout is eval-identity)."""
     hidden = _linear(module.fc1, x, arena, tag + ".fc1")
     if module.activation == "gelu":
-        hidden = _gelu_inference(hidden, arena, tag + ".gelu")
+        hidden = _gelu(hidden, arena, tag + ".gelu")
     else:
         # Tensor.relu is `x * (x > 0)`, not np.maximum — the multiply keeps
         # the sign of -0.0, so the same form is replicated here.
@@ -282,7 +282,7 @@ def _attention_mask_query(module: MultiHeadSelfAttention, x: np.ndarray,
 def _layer_full(layer: TransformerEncoderLayer, x: np.ndarray,
                 attention_mask: Optional[np.ndarray], arena: InferenceArena,
                 tag: str) -> np.ndarray:
-    """Replicate ``TransformerEncoderLayer.inference_forward`` on arrays."""
+    """Replicate ``TransformerEncoderLayer.forward`` on arrays (eval mode)."""
     normed = _layer_norm(layer.norm1, x, arena, tag + ".n1")
     attended = _attention_full(layer.attention, normed, attention_mask, arena, tag + ".attn")
     residual = arena.buffer(tag + ".res1", x.shape)

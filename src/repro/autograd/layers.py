@@ -161,17 +161,3 @@ class FeedForward(Module):
         hidden = hidden.gelu() if self.activation == "gelu" else hidden.relu()
         hidden = self.dropout(hidden)
         return self.fc2(hidden)
-
-    def inference_forward(self, x: Tensor) -> Tensor:
-        """Inference-path forward: gelu evaluates its cube by multiplication.
-
-        Identical structure to :meth:`forward`, but the activation goes
-        through :meth:`~repro.autograd.tensor.Tensor.gelu_inference` (same
-        real function, cheaper and differently rounded — see its docstring).
-        Only the mask-readout scoring paths call this; training and every
-        legacy scoring path keep :meth:`forward`.
-        """
-        hidden = self.fc1(x)
-        hidden = hidden.gelu_inference() if self.activation == "gelu" else hidden.relu()
-        hidden = self.dropout(hidden)
-        return self.fc2(hidden)

@@ -50,6 +50,25 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _has_copy_layout(array: np.ndarray) -> bool:
+    """Whether ``array`` already has the strides ``array.copy()`` would give.
+
+    C-contiguity pins the strides of every axis longer than 1; a size-1 axis
+    may still carry any stride (a transposed ``(n, 1)`` view), so those are
+    compared against the canonical C strides.
+    """
+    if not array.flags.c_contiguous:
+        return False
+    if 1 not in array.shape:
+        return True
+    step = array.itemsize
+    for size, stride in zip(reversed(array.shape), reversed(array.strides)):
+        if stride != step:
+            return False
+        step *= size
+    return True
+
+
 def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
     """Wrap ``value`` as an ndarray without silent casts or copies.
 
@@ -162,7 +181,12 @@ class Tensor:
             return
         grad = np.asarray(grad, dtype=self.data.dtype if np.issubdtype(self.data.dtype, np.floating) else np.float64)
         if self.grad is None:
-            self.grad = grad.copy()
+            # Gradients are never written in place (optimizers and
+            # clip_grad_norm read or rebind ``.grad``), so an array already in
+            # the layout a copy would produce is stored as is.  Other views
+            # (a transpose, a broadcast) are copied: numpy's matmul rounds
+            # differently on non-C strides, which would move later BLAS calls.
+            self.grad = grad if _has_copy_layout(grad) else grad.copy()
         else:
             self.grad = self.grad + grad
 
@@ -175,7 +199,9 @@ class Tensor:
             if self.size != 1:
                 raise ValueError("backward() without a gradient requires a scalar tensor")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        # A copy: the seed becomes this tensor's ``.grad`` and the caller's
+        # array must not be shared with it.
+        grad = np.array(grad, dtype=np.float64)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -385,31 +411,13 @@ class Tensor:
         return self._make_result(out_data, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """Gaussian error linear unit (tanh approximation)."""
-        x = self.data
-        c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x ** 3)
-        tanh_inner = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + tanh_inner)
+        """Gaussian error linear unit (tanh approximation).
 
-        def backward(grad: np.ndarray) -> None:
-            sech2 = 1.0 - tanh_inner ** 2
-            d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
-            local = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-            self._accumulate(grad * local)
-
-        return self._make_result(out_data, (self,), backward)
-
-    def gelu_inference(self) -> "Tensor":
-        """Inference-path gelu: the cube is evaluated by multiplication.
-
-        :meth:`gelu` computes ``x ** 3`` through ``np.power`` (libm ``pow``),
-        which costs ~50x more than two multiplies on CPUs without a SIMD
-        ``pow`` and dominates the whole scoring forward.  ``x * x * x``
-        evaluates the same real-valued polynomial with different rounding, so
-        this variant is *not* bitwise-interchangeable with :meth:`gelu`;
-        training keeps :meth:`gelu`, and the inference readout paths (tape and
-        arena, which must match each other bitwise) both use this one.
+        The cube is evaluated as ``x * x * x``, not ``x ** 3``: ``np.power``
+        with a non-square exponent calls libm ``pow``, ~50x slower per element
+        on CPUs without a SIMD ``pow``, and it dominated every transformer
+        forward and backward.  The no-tape arena's ``_gelu`` replicates this
+        arithmetic op for op, so tape and arena stay bitwise identical.
         """
         x = self.data
         c = np.sqrt(2.0 / np.pi)

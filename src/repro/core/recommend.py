@@ -105,9 +105,9 @@ class DELRecRecommender:
         #: part of the serialised bundle or any artifact fingerprint.
         self.lm_head = validate_lm_head(lm_head)
         #: Encoder readout at inference: ``"mask"`` (default) restricts the
-        #: last layer to the [MASK] position and uses the inference-path gelu;
-        #: ``"full"`` keeps the pre-PR-7 full-width encode.  Exact either way,
-        #: rounded differently — the choice IS part of
+        #: last layer to the [MASK] position; ``"full"`` keeps the full-width
+        #: encode.  Exact either way, but the restricted last layer rounds
+        #: differently — the choice IS part of
         #: :meth:`scoring_fingerprint` (unlike restricted-vs-full lm_head).
         self.readout = validate_readout(readout)
         #: Optional :class:`~repro.serve.prefix.PrefixCache` attached by the

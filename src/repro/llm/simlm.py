@@ -192,15 +192,16 @@ class SimLM(Module):
     ) -> Tensor:
         """Mask-position hidden states via the restricted readout path: ``(batch, dim)``.
 
-        The serving/inference counterpart of :meth:`mask_hidden_states`: all
-        layers run with the inference-path gelu, and the **last** layer is
+        The serving/inference counterpart of :meth:`mask_hidden_states`: every
+        layer but the last runs its plain forward, and the **last** layer is
         evaluated only at the ``[MASK]`` position of each row (keys/values
         still span the whole prompt — see
         :meth:`~repro.autograd.attention.TransformerEncoderLayer.mask_readout_forward`).
-        Exact in real arithmetic but rounded differently from
-        :meth:`mask_hidden_states`, so the two paths are not interchangeable
-        mid-experiment; every inference consumer must pick one and stick to
-        it.  Training keeps :meth:`mask_hidden_states`.
+        That restricted last layer is the only difference: exact in real
+        arithmetic but rounded differently from :meth:`mask_hidden_states`, so
+        the two paths are not interchangeable mid-experiment; every inference
+        consumer must pick one and stick to it.  Training keeps
+        :meth:`mask_hidden_states`.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if valid_mask is None:
@@ -217,7 +218,7 @@ class SimLM(Module):
         attention_mask = padded_self_attention_mask(valid_mask)
         mask_positions = _single_mask_positions(token_ids, self.tokenizer.mask_id)
         for layer in self.layers[:-1]:
-            hidden = layer.inference_forward(hidden, attention_mask=attention_mask)
+            hidden = layer(hidden, attention_mask=attention_mask)
         readout = self.layers[len(self.layers) - 1].mask_readout_forward(
             hidden, mask_positions, attention_mask=attention_mask
         )

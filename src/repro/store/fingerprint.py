@@ -51,7 +51,12 @@ DIGEST_CHARS = 20
 #: v2 (loss restructuring and dropout streams), but makes them invariant to
 #: ``REPRO_DATA_WORKERS`` — which is therefore *not* fingerprinted: a
 #: serial-trained artifact satisfies a data-parallel run bit for bit.
-TRAINING_CODE_VERSION = 3
+#:
+#: v4: ``Tensor.gelu`` evaluates its cube as ``x * x * x`` instead of
+#: ``x ** 3`` (libm ``pow``), and the squares in its backward by
+#: multiplication.  Same real function, different rounding, so every model
+#: with a gelu feed-forward trains to slightly different parameters than v3.
+TRAINING_CODE_VERSION = 4
 
 
 def canonicalize(obj):

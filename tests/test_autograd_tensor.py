@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, functional as F, no_grad
+from repro.autograd import Adagrad, Adam, Lion, Parameter, Tensor, functional as F, no_grad
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -361,3 +361,69 @@ class TestMaskedFillBroadcast:
         out.sum().backward()
         assert np.array_equal(a.grad, np.array([1.0, 0.0, 1.0, 0.0]))
         assert b.grad is None
+
+
+def _canonical_c_strides(array):
+    return np.empty(array.shape, dtype=array.dtype).strides
+
+
+class TestGradientStorage:
+    """The first gradient a tensor receives is stored without a copy when it
+    already has C layout; views are copied, and nothing writes ``.grad``."""
+
+    def test_transposed_grad_is_stored_c_contiguous(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        weight = rng.normal(size=(3, 5))
+        (x.T.matmul(weight) * 2.0).sum().backward()
+        assert x.grad.flags.c_contiguous
+        assert x.grad.strides == _canonical_c_strides(x.grad)
+        np.testing.assert_allclose(x.grad, (2.0 * np.ones((4, 5)) @ weight.T).T)
+
+    def test_size_one_axis_view_gets_canonical_strides(self):
+        # The transpose of a (1, 5) grad is a (5, 1) view flagged C-contiguous
+        # whose size-1 axis keeps a non-canonical stride.
+        x = Tensor(np.arange(5.0).reshape(5, 1), requires_grad=True)
+        (x.transpose() * np.arange(5.0)).sum().backward()
+        assert x.grad.strides == _canonical_c_strides(x.grad)
+        np.testing.assert_array_equal(x.grad, np.arange(5.0).reshape(5, 1))
+
+    def test_zero_dimensional_grad_keeps_its_shape(self):
+        x = Tensor(np.float64(2.0), requires_grad=True)
+        y = x * 3.0
+        y.backward()
+        assert x.grad.shape == ()
+        assert y.grad.shape == ()
+        assert float(x.grad) == 3.0
+
+    def test_backward_seed_is_not_shared_with_the_caller(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        seed = np.full(3, 2.0)
+        (x + 1.0).backward(seed)  # add passes the seed array straight to x
+        seed[:] = 0.0
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_tensor_used_twice_accumulates(self):
+        x = Tensor(np.array([1.5, -2.0, 3.0]), requires_grad=True)
+        (x + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        x.zero_grad()
+        (x * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+    @pytest.mark.parametrize("update", [
+        lambda ps: Adam(ps, lr=0.1, weight_decay=0.01).step(),
+        lambda ps: Lion(ps, lr=0.1, weight_decay=0.01).step(),
+        lambda ps: Adagrad(ps, lr=0.1, weight_decay=0.01).step(),
+        lambda ps: F.clip_grad_norm(ps, max_norm=1e-3),
+    ])
+    def test_optimizers_leave_grad_bytes_unchanged(self, update):
+        rng = np.random.default_rng(1)
+        a = Parameter(rng.normal(size=(4, 3)))
+        b = Parameter(rng.normal(size=(4, 3)))
+        # `a + b` hands both parameters the same gradient array.
+        ((a + b) * Tensor(rng.normal(size=(4, 3)))).sum().backward()
+        grads = [a.grad, b.grad]
+        snapshots = [grad.tobytes() for grad in grads]
+        update([a, b])
+        assert [grad.tobytes() for grad in grads] == snapshots
